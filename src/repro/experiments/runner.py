@@ -1,41 +1,41 @@
-"""Machine-readable results: run the fast experiments and emit one
-JSON document of paper-vs-measured values.
+"""Machine-readable results and fleet sweeps: one job executor.
 
 The CLI prints human tables; CI pipelines and the EXPERIMENTS.md
 curation want structured numbers instead:
 
-    python -m repro.experiments.runner results.json
-    python -m repro.experiments.runner results.json --jobs 4
-    python -m repro.experiments.runner results.json --serial --full
-    python -m repro.experiments.runner results.json --resume --timeout 120
+    python -m repro results --out results.json
+    python -m repro results --out results.json --jobs 4
+    python -m repro results --out results.json --serial --full
+    python -m repro results --out results.json --resume --timeout 120
+    python -m repro fleet --fleet-size 256 --jobs 2 --out fleet.json
 
-The experiments are independent of one another, so
-:func:`collect_results` can fan them out over a
-``ProcessPoolExecutor``.  Each experiment derives its own seed from the
-master seed *inside its job function*, exactly as the serial path does,
-so the merged document is identical byte-for-byte whichever way it was
-produced (the determinism test in ``tests/experiments/test_runner.py``
-holds the two paths equal).
+Both documents come out of one private executor, :func:`_run_tasks`.
+:func:`collect_results` hands it one task per paper experiment and
+:class:`FleetRunner` one task per shard of a seed sweep.  The tasks
+are independent, so the executor can fan them out over a
+``ProcessPoolExecutor``.  Each task derives its randomness inside
+itself, exactly as the serial path does, so the merged document is
+identical byte-for-byte whichever way it was produced (the determinism
+tests in ``tests/experiments/test_runner.py`` and
+``tests/fleet/test_runner_fleet.py`` hold the paths equal).
 
-Crash tolerance: every completed fragment is persisted to an atomic
+Crash tolerance: every landed fragment is persisted to an atomic
 checkpoint file the moment it lands, so a killed run resumes with
-``--resume`` and re-executes only the missing jobs — and, because every
-fragment is a pure function of ``(seed, quick)``, the resumed document
-is byte-identical to an uninterrupted one.  A crashed worker pool
-(:class:`~concurrent.futures.process.BrokenProcessPool`) degrades to
-serial re-execution of the incomplete jobs instead of losing the
-finished ones, and each job gets a bounded number of retries and an
+``--resume`` and re-executes only the missing tasks — and, because
+every fragment is a pure function of the run's identity, the resumed
+document is byte-identical to an uninterrupted one.  A crashed worker
+pool (:class:`~concurrent.futures.process.BrokenProcessPool`) degrades
+to serial re-execution of the unfinished tasks instead of losing the
+finished ones, and each task gets a bounded number of retries and an
 optional wall-clock timeout.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import pickle
 import signal
-import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -53,7 +53,7 @@ QUICK_ALOHA_S, FULL_ALOHA_S = 4000.0, 10_000.0
 
 
 class ResultsError(RuntimeError):
-    """A job failed past its retry budget, or a checkpoint mismatched."""
+    """A job failed past its retry budget, or a checkpoint was refused."""
 
 
 class _JobTimeout(Exception):
@@ -205,6 +205,25 @@ EXPERIMENT_JOBS: List[Tuple[str, Callable[..., Dict[str, Any]]]] = [
 _JOBS_BY_NAME = dict(EXPERIMENT_JOBS)
 
 
+def _with_telemetry(
+    with_telemetry: bool, call: Callable[[], Any]
+) -> Tuple[Any, Optional[Dict[str, Any]]]:
+    """``(call(), snapshot)``, the call optionally under a fresh registry.
+
+    Every task gets its *own* registry (via ``telemetry.collecting``), on
+    the serial path exactly as in a pool worker — a reused worker
+    process never leaks one task's tallies into the next, and the merged
+    document is byte-identical whichever way the tasks were executed.
+    """
+    if not with_telemetry:
+        return call(), None
+    from repro import telemetry
+
+    with telemetry.collecting() as registry:
+        result = call()
+    return result, registry.snapshot().to_jsonable()
+
+
 def _execute_job(
     name: str,
     medium: AcousticMedium,
@@ -212,20 +231,10 @@ def _execute_job(
     quick: bool,
     with_telemetry: bool,
 ) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
-    """Run one experiment, optionally under a fresh telemetry registry.
-
-    Every job gets its *own* registry (via ``telemetry.collecting``), on
-    the serial path exactly as in a pool worker — a reused worker
-    process never leaks one job's tallies into the next, and the merged
-    document is byte-identical whichever way the jobs were executed.
-    """
-    if not with_telemetry:
-        return _JOBS_BY_NAME[name](medium, seed, quick), None
-    from repro import telemetry
-
-    with telemetry.collecting() as registry:
-        fragment = _JOBS_BY_NAME[name](medium, seed, quick)
-    return fragment, registry.snapshot().to_jsonable()
+    """Run one experiment, optionally under a fresh telemetry registry."""
+    return _with_telemetry(
+        with_telemetry, lambda: _JOBS_BY_NAME[name](medium, seed, quick)
+    )
 
 
 def _profiled_execute(
@@ -266,25 +275,37 @@ def _run_job(
     with_telemetry: bool = False,
     with_perf: bool = False,
     profile_dir: Optional[str] = None,
-) -> Tuple[str, Dict[str, Any], float, Optional[Dict[str, Any]], Optional[Dict[str, Any]]]:
-    """Pool entry point: run one experiment, return its fragment, wall
-    time, and (optionally) its telemetry snapshot and perf report."""
-    if with_perf:
-        # Fresh per-job slate: pool workers are reused across jobs, and
-        # without the reset a shipped report would double-count earlier
-        # jobs' stages once the parent merges them.
-        from repro import perf as perf_mod
+) -> Dict[str, Any]:
+    """Task entry point: run one experiment; return its fragment, wall
+    time and (optionally) its telemetry snapshot and perf report."""
+    from repro import perf as perf_mod
 
-        perf_mod.reset()
-    start = time.perf_counter()
-    fragment, tel = _profiled_execute(
-        name, medium, seed, quick, with_telemetry, profile_dir
-    )
-    elapsed = time.perf_counter() - start
-    perf_report = None
+    outer = None
     if with_perf:
-        perf_report = perf_mod.report()
-    return name, fragment, elapsed, tel, perf_report
+        # The shipped report covers this job alone.  Whatever the
+        # process measured before (earlier jobs of a reused pool worker,
+        # or the caller's own set-up when run serially) is parked and
+        # folded back afterwards, so merging the reports counts nothing
+        # twice.
+        outer = perf_mod.report()
+        perf_mod.reset()
+    try:
+        start = time.perf_counter()
+        fragment, tel = _profiled_execute(
+            name, medium, seed, quick, with_telemetry, profile_dir
+        )
+        elapsed = time.perf_counter() - start
+        perf_report = perf_mod.report() if with_perf else None
+    finally:
+        if outer is not None:
+            perf_mod.reset()
+            perf_mod.registry.merge_report(outer)
+    return {
+        "fragments": fragment,
+        "timings": elapsed,
+        "telemetry": tel,
+        "perf": perf_report,
+    }
 
 
 def default_jobs() -> int:
@@ -293,8 +314,22 @@ def default_jobs() -> int:
 
 
 # -- checkpointing ----------------------------------------------------------
+#
+# A checkpoint is the run's identity keys plus, per persisted section,
+# a map from task key to what that task landed.  Both runners share the
+# one writer/loader pair below; only the identity and the fragment
+# check differ.
 
 _CHECKPOINT_VERSION = 1
+
+#: Per-task sections a checkpoint carries (``perf`` reports are not
+#: persisted: they describe one process, not the result).
+_PERSISTED = ("fragments", "timings", "telemetry")
+
+
+def _results_identity(seed: int, quick: bool) -> Dict[str, Any]:
+    """What a :func:`collect_results` checkpoint must match to resume."""
+    return {"version": _CHECKPOINT_VERSION, "seed": seed, "quick": quick}
 
 
 def _atomic_json_dump(path: str, payload: Dict[str, Any]) -> None:
@@ -310,60 +345,62 @@ def _atomic_json_dump(path: str, payload: Dict[str, Any]) -> None:
 
 
 def _write_checkpoint(
-    path: str,
-    seed: int,
-    quick: bool,
-    fragments: Dict[str, Dict[str, Any]],
-    timings: Dict[str, float],
-    telemetry_fragments: Optional[Dict[str, Dict[str, Any]]] = None,
+    path: str, identity: Dict[str, Any], landed: Dict[str, Dict[str, Any]]
 ) -> None:
-    """Persist completed fragments atomically."""
-    payload = {
-        "version": _CHECKPOINT_VERSION,
-        "seed": seed,
-        "quick": quick,
-        "fragments": fragments,
-        "timings": timings,
-    }
-    if telemetry_fragments:
-        payload["telemetry"] = telemetry_fragments
+    """Persist the identity and every non-empty section atomically."""
+    payload = dict(identity)
+    payload.update(
+        {section: landed[section] for section in _PERSISTED if landed.get(section)}
+    )
     _atomic_json_dump(path, payload)
 
 
 def _load_checkpoint(
-    path: str, seed: int, quick: bool
-) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, float], Dict[str, Dict[str, Any]]]:
-    """Load a checkpoint, validating it belongs to this run's params."""
+    path: str,
+    identity: Dict[str, Any],
+    keys: List[str],
+    accept: Callable[[str, Any], bool],
+) -> Dict[str, Dict[str, Any]]:
+    """Load a checkpoint's sections, refusing anything that is not a
+    checkpoint of this very run: unreadable JSON, any identity key that
+    differs, a key no task has, or a fragment ``accept`` rejects."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ResultsError(f"cannot read checkpoint {path}: {exc}")
-    if payload.get("version") != _CHECKPOINT_VERSION:
-        raise ResultsError(
-            f"checkpoint {path} has version {payload.get('version')!r}; "
-            f"expected {_CHECKPOINT_VERSION}"
-        )
-    if payload.get("seed") != seed or payload.get("quick") != quick:
-        raise ResultsError(
-            f"checkpoint {path} was taken with seed={payload.get('seed')} "
-            f"quick={payload.get('quick')}; this run uses seed={seed} "
-            f"quick={quick} — refusing to mix"
-        )
-    fragments = payload.get("fragments", {})
-    known = {n for n, _ in EXPERIMENT_JOBS}
-    fragments = {n: f for n, f in fragments.items() if n in known}
-    tel = payload.get("telemetry", {})
-    tel = {n: t for n, t in tel.items() if n in known}
-    return fragments, payload.get("timings", {}), tel
+    if not isinstance(payload, dict):
+        raise ResultsError(f"checkpoint {path} is not a JSON object")
+    for key, want in identity.items():
+        want = json.loads(json.dumps(want))  # tuples come back as lists
+        if payload.get(key) != want:
+            raise ResultsError(
+                f"checkpoint {path} was taken with {key}={payload.get(key)!r};"
+                f" this run uses {want!r} — refusing to mix"
+            )
+    sections: Dict[str, Dict[str, Any]] = {}
+    for section in _PERSISTED:
+        entries = payload.get(section, {})
+        if not isinstance(entries, dict):
+            raise ResultsError(f"checkpoint {path}: {section!r} is not an object")
+        for key in entries:
+            if key not in keys:
+                raise ResultsError(
+                    f"checkpoint {path}: {section!r} has unknown key {key!r}"
+                )
+        sections[section] = entries
+    for key, fragment in sections["fragments"].items():
+        if not accept(key, fragment):
+            raise ResultsError(f"checkpoint {path}: malformed fragment {key!r}")
+    return sections
 
 
 @contextmanager
 def _serial_timeout(seconds: Optional[float]) -> Iterator[None]:
-    """Bound one serially-executed job with SIGALRM where possible.
+    """Bound one serially-executed task with SIGALRM where possible.
 
     Only the main thread of a POSIX process can field SIGALRM; anywhere
-    else the guard degrades to a no-op (pool mode bounds jobs through
+    else the guard degrades to a no-op (pool mode bounds tasks through
     the future instead).
     """
     usable = (
@@ -386,6 +423,152 @@ def _serial_timeout(seconds: Optional[float]) -> Iterator[None]:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# -- the job executor -------------------------------------------------------
+
+_Task = Tuple[str, Callable[..., Dict[str, Any]], Tuple[Any, ...]]
+
+
+def _run_tasks(
+    tasks: List[_Task],
+    identity: Dict[str, Any],
+    accept: Callable[[str, Any], bool],
+    label: str,
+    jobs: int,
+    timeout: Optional[float],
+    max_retries: int,
+    checkpoint: Optional[str],
+    resume: bool,
+    telemetry: bool,
+) -> Tuple[Dict[str, Dict[str, Any]], Optional[Dict[str, Any]]]:
+    """Run ``(key, fn, args)`` tasks; the one executor of both runners.
+
+    ``fn(*args)`` runs in a pool worker or in this process and returns
+    a dict of per-task values by section (``fragments`` always;
+    ``timings``, ``telemetry`` and ``perf`` optionally).  Returns every
+    section as a ``{key: value}`` map, plus — with ``telemetry`` — the
+    per-task snapshots merged in canonical task order and signed.
+
+    * ``jobs`` > 1 fans the pending tasks over ``min(jobs, pending)``
+      processes; tasks whose arguments cannot be pickled run serially.
+    * ``timeout`` bounds each task: on the future in the pool, with
+      SIGALRM serially.  A timed-out task counts as one failed attempt,
+      and ``max_retries`` bounds the extra attempts per task before
+      :class:`ResultsError` is raised.
+    * A :class:`BrokenProcessPool` (a worker died hard) degrades to
+      serial re-execution of only the unfinished tasks, with no retry
+      charged; landed results are never lost.
+    * ``checkpoint`` receives every landed result atomically;
+      ``resume=True`` preloads it (see :func:`_load_checkpoint`) and
+      runs only the missing tasks.  The file is deleted on success;
+      ``KeyboardInterrupt`` propagates with it on disk.
+    """
+    keys = [key for key, _, _ in tasks]
+    calls = {key: (fn, args) for key, fn, args in tasks}
+    landed: Dict[str, Dict[str, Any]] = {
+        section: {} for section in _PERSISTED + ("perf",)
+    }
+    if resume:
+        if checkpoint is None:
+            raise ResultsError("resume requested without a checkpoint path")
+        if os.path.exists(checkpoint):
+            landed.update(_load_checkpoint(checkpoint, identity, keys, accept))
+            if telemetry:
+                # A fragment without its telemetry snapshot (checkpoint
+                # from a telemetry-off run) must be re-executed — the
+                # merged section covers every task or none.
+                landed["fragments"] = {
+                    k: v for k, v in landed["fragments"].items()
+                    if k in landed["telemetry"]
+                }
+
+    pending = [key for key in keys if key not in landed["fragments"]]
+    if jobs > 1 and pending:
+        try:
+            pickle.dumps([calls[key] for key in pending])
+        except Exception:
+            jobs = 1  # e.g. a custom medium that can't cross a process boundary
+    attempts = dict.fromkeys(keys, 0)
+
+    def land(key: str, result: Dict[str, Any]) -> None:
+        for section, value in result.items():
+            if value is not None:
+                landed[section][key] = value
+        if checkpoint is not None:
+            _write_checkpoint(checkpoint, identity, landed)
+
+    while pending:
+        failed: List[Tuple[str, str]] = []
+        if jobs > 1:
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
+            try:
+                futures = {
+                    key: pool.submit(calls[key][0], *calls[key][1])
+                    for key in pending
+                }
+                for key, future in futures.items():
+                    try:
+                        result = future.result(timeout=timeout)
+                    except FuturesTimeout:
+                        failed.append((key, f"timed out after {timeout:g}s"))
+                    except BrokenProcessPool:
+                        raise
+                    except Exception as exc:
+                        failed.append((key, repr(exc)))
+                    else:
+                        land(key, result)
+            except BrokenProcessPool:
+                # A worker died hard (segfault, OOM-kill): the pool is
+                # unusable, but every landed result is safe.  Finish the
+                # rest serially; no retry is charged.
+                jobs = 1
+                pending = [k for k in pending if k not in landed["fragments"]]
+                continue
+            finally:
+                # Never wait on a hung or dead worker.
+                pool.shutdown(wait=False, cancel_futures=True)
+        else:
+            for key in pending:
+                fn, args = calls[key]
+                try:
+                    with _serial_timeout(timeout):
+                        result = fn(*args)
+                except _JobTimeout:
+                    failed.append((key, f"timed out after {timeout:g}s"))
+                except Exception as exc:
+                    failed.append((key, repr(exc)))
+                else:
+                    land(key, result)
+
+        pending = []
+        for key, reason in failed:
+            attempts[key] += 1
+            if attempts[key] > max_retries:
+                raise ResultsError(
+                    f"{label} {key!r} failed after {attempts[key]} attempt"
+                    f"{'s' if attempts[key] != 1 else ''}: {reason}"
+                )
+            pending.append(key)
+
+    section = None
+    if telemetry:
+        from repro.telemetry import MetricsSnapshot, merge_snapshots
+
+        # Canonical task order, NOT completion order: snapshot merging
+        # is associative and commutative for counters/gauges, but
+        # histogram float sums are only guaranteed bit-stable along one
+        # order.
+        merged = merge_snapshots(
+            MetricsSnapshot.from_jsonable(landed["telemetry"][key]) for key in keys
+        )
+        section = {"signature": merged.signature(), "snapshot": merged.to_jsonable()}
+    if checkpoint is not None:
+        try:
+            os.remove(checkpoint)
+        except OSError:
+            pass
+    return landed, section
 
 
 # -- collection -------------------------------------------------------------
@@ -412,33 +595,20 @@ def collect_results(
     result document is identical to the serial one for the same seeds
     (each experiment derives its seed inside its own job).  ``perf``
     appends a ``"perf"`` section with per-experiment wall times and the
-    in-process stage/counter report — omitted by default so the
-    document stays byte-stable across executions.
+    merged stage/counter report — omitted by default so the document
+    stays byte-stable across executions.
 
-    Robustness knobs:
-
-    * ``timeout`` bounds each job's wall time (seconds).  In pool mode
-      the bound is enforced on the future; serially it uses SIGALRM
-      when available.  A timed-out job counts as one failed attempt.
-    * ``max_retries`` re-runs a failed or timed-out job up to that many
-      extra times before :class:`ResultsError` is raised.
-    * ``checkpoint`` names a file that receives every completed
-      fragment atomically as it lands; ``resume=True`` preloads it and
-      re-executes only the missing jobs.  Fragments are pure functions
-      of ``(seed, quick)``, so a killed-and-resumed run emits a
-      document byte-identical to an uninterrupted one.  The checkpoint
-      is deleted once the document is complete.
-    * A :class:`BrokenProcessPool` (a worker crashed hard) falls back
-      to serial re-execution of only the jobs that had not finished —
-      completed fragments are never lost.  ``KeyboardInterrupt``
-      propagates after the checkpoint is flushed.
+    ``timeout``, ``max_retries``, ``checkpoint`` and ``resume`` are the
+    executor's robustness knobs (see :func:`_run_tasks`).  Fragments
+    are pure functions of ``(seed, quick)``, so a killed-and-resumed
+    run emits a document byte-identical to an uninterrupted one; the
+    checkpoint records ``(seed, quick)`` and refuses a mismatched
+    resume.
 
     ``telemetry=True`` runs every job under its own fresh
-    :class:`~repro.telemetry.MetricsRegistry` (serial and pool paths
-    identically), merges the per-job snapshots in canonical
-    ``EXPERIMENT_JOBS`` order regardless of completion order, and
-    appends a ``"telemetry"`` section: the merged snapshot plus its
-    SHA-256 signature.  The section is deterministic — byte-identical
+    :class:`~repro.telemetry.MetricsRegistry` and appends a
+    ``"telemetry"`` section: the snapshots merged in canonical
+    ``EXPERIMENT_JOBS`` order plus its SHA-256 signature, byte-identical
     between ``--serial`` and ``--jobs N`` runs of the same seed.
 
     ``profile_dir`` runs each job under :mod:`cProfile` and dumps raw
@@ -447,181 +617,41 @@ def collect_results(
     data rather than guesswork.
     """
     medium = medium if medium is not None else AcousticMedium()
-
-    fragments: Dict[str, Dict[str, Any]] = {}
-    timings: Dict[str, float] = {}
-    tel_fragments: Dict[str, Dict[str, Any]] = {}
-    perf_reports: Dict[str, Dict[str, Any]] = {}
-    if resume:
-        if checkpoint is None:
-            raise ResultsError("resume requested without a checkpoint path")
-        if os.path.exists(checkpoint):
-            fragments, timings, tel_fragments = _load_checkpoint(
-                checkpoint, seed, quick
-            )
-            if telemetry:
-                # A fragment without its telemetry snapshot (checkpoint
-                # from a telemetry-off run) must be re-executed — the
-                # merged section covers every job or none.
-                fragments = {
-                    n: f for n, f in fragments.items() if n in tel_fragments
-                }
-
-    if jobs > 1:
-        try:
-            pickle.dumps(medium)
-        except Exception:
-            jobs = 1  # custom media that can't cross a process boundary
-
     names = [name for name, _ in EXPERIMENT_JOBS]
-    pending = [name for name in names if name not in fragments]
-    attempts: Dict[str, int] = {name: 0 for name in names}
-    ship_perf = perf and jobs > 1
-
-    def record(
-        name: str,
-        fragment: Dict[str, Any],
-        elapsed: float,
-        tel: Optional[Dict[str, Any]] = None,
-        perf_report: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        fragments[name] = fragment
-        timings[name] = elapsed
-        if tel is not None:
-            tel_fragments[name] = tel
-        if perf_report is not None:
-            perf_reports[name] = perf_report
-        if checkpoint is not None:
-            _write_checkpoint(
-                checkpoint,
-                seed,
-                quick,
-                fragments,
-                timings,
-                tel_fragments if telemetry else None,
-            )
-
-    try:
-        while pending:
-            failed: List[Tuple[str, str]] = []
-            if jobs > 1:
-                pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-                try:
-                    futures = {
-                        name: pool.submit(
-                            _run_job,
-                            name,
-                            medium,
-                            seed,
-                            quick,
-                            telemetry,
-                            ship_perf,
-                            profile_dir,
-                        )
-                        for name in pending
-                    }
-                    for name, future in futures.items():
-                        try:
-                            (
-                                done_name,
-                                fragment,
-                                elapsed,
-                                tel,
-                                perf_report,
-                            ) = future.result(timeout=timeout)
-                            record(done_name, fragment, elapsed, tel, perf_report)
-                        except FuturesTimeout:
-                            failed.append(
-                                (name, f"timed out after {timeout:g}s")
-                            )
-                        except BrokenProcessPool:
-                            raise
-                        except Exception as exc:
-                            failed.append((name, repr(exc)))
-                except BrokenProcessPool:
-                    # A worker died hard (segfault, OOM-kill): the pool
-                    # is unusable, but every recorded fragment is safe.
-                    # Degrade to serial for the jobs still missing; no
-                    # retry budget is charged — the jobs never ran.
-                    jobs = 1
-                    pending = [n for n in pending if n not in fragments]
-                    continue
-                finally:
-                    pool.shutdown(wait=False, cancel_futures=True)
-            else:
-                for name in pending:
-                    start = time.perf_counter()
-                    try:
-                        with _serial_timeout(timeout):
-                            fragment, tel = _profiled_execute(
-                                name, medium, seed, quick, telemetry, profile_dir
-                            )
-                    except _JobTimeout:
-                        failed.append((name, f"timed out after {timeout:g}s"))
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as exc:
-                        failed.append((name, repr(exc)))
-                    else:
-                        record(name, fragment, time.perf_counter() - start, tel)
-
-            still_pending: List[str] = []
-            for name, reason in failed:
-                attempts[name] += 1
-                if attempts[name] > max_retries:
-                    raise ResultsError(
-                        f"experiment {name!r} failed after "
-                        f"{attempts[name]} attempt"
-                        f"{'s' if attempts[name] != 1 else ''}: {reason}"
-                    )
-                still_pending.append(name)
-            pending = still_pending
-    except KeyboardInterrupt:
-        # The per-fragment checkpoint is already on disk; re-raise so
-        # the caller (or the shell) sees the interrupt.  Completed work
-        # survives for --resume.
-        raise
+    landed, telemetry_section = _run_tasks(
+        [
+            (name, _run_job, (name, medium, seed, quick, telemetry, perf, profile_dir))
+            for name in names
+        ],
+        identity=_results_identity(seed, quick),
+        accept=lambda name, fragment: isinstance(fragment, dict),
+        label="experiment",
+        jobs=jobs,
+        timeout=timeout,
+        max_retries=max_retries,
+        checkpoint=checkpoint,
+        resume=resume,
+        telemetry=telemetry,
+    )
 
     out: Dict[str, Any] = {"quick": quick, "seed": seed}
     for name in names:
-        out.update(fragments[name])
-
-    if telemetry:
-        from repro.telemetry import MetricsSnapshot, merge_snapshots
-
-        # Canonical job order, NOT completion order: snapshot merging is
-        # associative and commutative for counters/gauges, but histogram
-        # float sums are only guaranteed bit-stable along one order.
-        merged = merge_snapshots(
-            MetricsSnapshot.from_jsonable(tel_fragments[name])
-            for name in names
-            if name in tel_fragments
-        )
-        out["telemetry"] = {
-            "signature": merged.signature(),
-            "snapshot": merged.to_jsonable(),
-        }
-
-    if checkpoint is not None:
-        try:
-            os.remove(checkpoint)
-        except OSError:
-            pass
+        out.update(landed["fragments"][name])
+    if telemetry_section is not None:
+        out["telemetry"] = telemetry_section
 
     if perf:
         from repro import perf as perf_mod
         from repro.phy import cache as phy_cache
         from repro.phy import kernels
 
-        if perf_reports:
-            # Pool run: the parent's own registry saw only setup work;
-            # fold in what each child measured, in canonical job order.
-            process_report = perf_mod.merge_reports(
-                [perf_mod.report()]
-                + [perf_reports[n] for n in names if n in perf_reports]
-            )
-        else:
-            process_report = perf_mod.report()
+        # This process's own registry holds only set-up work; fold in
+        # what each job measured, in canonical job order.
+        process_report = perf_mod.merge_reports(
+            [perf_mod.report()]
+            + [landed["perf"][n] for n in names if n in landed["perf"]]
+        )
+        timings = landed["timings"]
         out["perf"] = {
             "jobs": jobs,
             "experiment_wall_s": {k: timings[k] for k in sorted(timings)},
@@ -643,15 +673,12 @@ def collect_results(
 #
 # The batch engine (repro.fleet) steps one shard of networks per
 # vectorised call; FleetRunner shards a whole seed sweep across engines
-# — optionally across a process pool with repro.app.shm's shared-memory
-# buffer as the result seam — and reassembles a document that is
-# byte-identical for every (shard_size, jobs, use_shm) combination,
-# because each network's randomness is a pure function of its own seed.
+# through the same executor and reassembles a document that is
+# byte-identical for every (shard_size, jobs) combination and across
+# resume, because each network's randomness is a pure function of its
+# own seed.
 
-_FLEET_CHECKPOINT_VERSION = 1
-
-#: Column order of a fleet summary row (matches
-#: :attr:`repro.app.shm.FleetResultBuffer.COLUMNS`).
+#: Column order of a fleet summary row.
 FLEET_ROW_COLUMNS = (
     "seed",
     "slots",
@@ -664,7 +691,6 @@ FLEET_ROW_COLUMNS = (
 
 
 def _run_fleet_shard(
-    shard_index: int,
     tag_periods: List[Tuple[str, int]],
     names: List[str],
     seeds: List[int],
@@ -672,64 +698,39 @@ def _run_fleet_shard(
     config: Optional[Any],
     energy: bool,
     with_telemetry: bool,
-    shm_name: Optional[str],
-    row_offset: int,
-    n_total_rows: int,
-) -> Tuple[int, Optional[List[List[float]]], float, Optional[Dict[str, Any]]]:
-    """Pool entry point: run one shard of the sweep on a batch engine.
-
-    Returns ``(shard_index, rows, wall_s, telemetry_snapshot)``; with a
-    shared-memory seam the rows travel through the segment instead and
-    the returned ``rows`` is None.
-    """
+) -> Dict[str, Any]:
+    """Task entry point: run one shard of the sweep on a batch engine;
+    return its summary rows (and telemetry snapshot)."""
     from repro.fleet import FleetEngine, FleetSpec
 
-    start = time.perf_counter()
     specs = [FleetSpec(name=n, seed=int(s)) for n, s in zip(names, seeds)]
 
     def execute() -> List[List[float]]:
-        engine = FleetEngine(
-            dict(tag_periods), specs, config=config, energy=energy
-        )
+        engine = FleetEngine(dict(tag_periods), specs, config=config, energy=energy)
         for _ in range(n_slots):
             engine.step_all()
-        rows: List[List[float]] = []
-        for spec, summary in zip(specs, engine.summaries()):
-            rows.append(
-                [
-                    float(spec.seed),
-                    float(summary["slots"]),
-                    float(summary["decodes"]),
-                    float(summary["acks"]),
-                    float(summary["collisions"]),
-                    float(summary["idle_slots"]),
-                    float(summary["settled_fraction"]),
-                ]
-            )
-        return rows
+        return [
+            [float(spec.seed)]
+            + [float(summary[column]) for column in FLEET_ROW_COLUMNS[1:]]
+            for spec, summary in zip(specs, engine.summaries())
+        ]
 
-    tel: Optional[Dict[str, Any]] = None
-    if with_telemetry:
-        from repro import telemetry
+    rows, tel = _with_telemetry(with_telemetry, execute)
+    return {"fragments": rows, "telemetry": tel}
 
-        with telemetry.collecting() as registry:
-            rows = execute()
-        tel = registry.snapshot().to_jsonable()
-    else:
-        rows = execute()
 
-    if shm_name is not None:
-        import numpy as np
-
-        from repro.app.shm import FleetResultBuffer
-
-        buffer = FleetResultBuffer.attach(shm_name, n_total_rows)
-        try:
-            buffer.write_rows(row_offset, np.asarray(rows))
-        finally:
-            buffer.close()
-        rows = None  # type: ignore[assignment]
-    return shard_index, rows, time.perf_counter() - start, tel
+def _rows_ok(rows: Any, count: int) -> bool:
+    """Is ``rows`` a shard fragment of ``count`` numeric summary rows?"""
+    return (
+        isinstance(rows, list)
+        and len(rows) == count
+        and all(
+            isinstance(row, list)
+            and len(row) == len(FLEET_ROW_COLUMNS)
+            and all(isinstance(v, (int, float)) for v in row)
+            for row in rows
+        )
+    )
 
 
 class FleetRunner:
@@ -742,12 +743,11 @@ class FleetRunner:
     byte-identical however the sweep is sharded or scheduled — the
     property ``tests/fleet/test_runner_fleet.py`` pins.
 
-    Reuses the experiment runner's machinery: the same atomic
-    checkpoint pattern (one fragment per completed shard, ``resume=``
-    to continue a killed run), the same per-job telemetry registries
-    merged in canonical shard order, and the same pool robustness knobs
-    (per-shard timeout, bounded retries, serial degradation when the
-    pool breaks).
+    Shards run through the experiment runner's executor
+    (:func:`_run_tasks`): one checkpoint fragment per landed shard
+    (``resume=`` continues a killed run), per-shard telemetry
+    registries merged in canonical shard order, per-shard timeouts,
+    bounded retries and serial degradation when the pool breaks.
     """
 
     def __init__(
@@ -792,11 +792,9 @@ class FleetRunner:
             )
         return out
 
-    # -- checkpointing -------------------------------------------------------
-
     def _checkpoint_identity(self) -> Dict[str, Any]:
         return {
-            "version": _FLEET_CHECKPOINT_VERSION,
+            "version": _CHECKPOINT_VERSION,
             "kind": "fleet-sweep",
             "seeds": self.seeds,
             "n_slots": self.n_slots,
@@ -805,47 +803,12 @@ class FleetRunner:
             "shard_size": self.shard_size,
         }
 
-    def _write_fleet_checkpoint(
-        self,
-        path: str,
-        fragments: Dict[str, List[List[float]]],
-        tel_fragments: Dict[str, Dict[str, Any]],
-    ) -> None:
-        payload = self._checkpoint_identity()
-        payload["fragments"] = fragments
-        if tel_fragments:
-            payload["telemetry"] = tel_fragments
-        _atomic_json_dump(path, payload)
-
-    def _load_fleet_checkpoint(
-        self, path: str
-    ) -> Tuple[Dict[str, List[List[float]]], Dict[str, Dict[str, Any]]]:
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ResultsError(f"cannot read checkpoint {path}: {exc}")
-        identity = self._checkpoint_identity()
-        for key, want in identity.items():
-            got = payload.get(key)
-            if key == "tag_periods" and got is not None:
-                got = [tuple(item) for item in got]
-                want = list(want)
-                got = list(got)
-            if got != want:
-                raise ResultsError(
-                    f"checkpoint {path} was taken with {key}={payload.get(key)!r};"
-                    f" this sweep uses {identity[key]!r} — refusing to mix"
-                )
-        return payload.get("fragments", {}), payload.get("telemetry", {})
-
     # -- execution -----------------------------------------------------------
 
     def run(
         self,
         jobs: int = 1,
         telemetry: bool = False,
-        use_shm: bool = False,
         checkpoint: Optional[str] = None,
         resume: bool = False,
         timeout: Optional[float] = None,
@@ -853,172 +816,42 @@ class FleetRunner:
     ) -> Dict[str, Any]:
         """Run the sweep; returns the JSON-able fleet document.
 
-        ``jobs`` > 1 fans shards over a process pool; ``use_shm``
-        routes result rows through a :class:`repro.app.shm.FleetResultBuffer`
-        segment instead of pickling them back through the executor.
-        Both paths (and any shard size) emit the same bytes.
+        ``jobs`` > 1 fans shards over a process pool; every execution
+        path (and any shard size) emits the same bytes.
         """
         import numpy as np
 
-        fragments: Dict[str, List[List[float]]] = {}
-        tel_fragments: Dict[str, Dict[str, Any]] = {}
-        if resume:
-            if checkpoint is None:
-                raise ResultsError("resume requested without a checkpoint path")
-            if os.path.exists(checkpoint):
-                fragments, tel_fragments = self._load_fleet_checkpoint(checkpoint)
-                if telemetry:
-                    fragments = {
-                        k: v for k, v in fragments.items() if k in tel_fragments
-                    }
-
+        periods = sorted(self.tag_periods.items())
         shards = self.shards()
-        matrix = np.full(
-            (self.n_networks, len(FLEET_ROW_COLUMNS)), np.nan, dtype=np.float64
+        sizes = {str(index): len(names) for index, _, names, _ in shards}
+        tasks = [
+            (
+                str(index),
+                _run_fleet_shard,
+                (periods, names, seeds, self.n_slots, self.config, self.energy,
+                 telemetry),
+            )
+            for index, _, names, seeds in shards
+        ]
+        landed, telemetry_section = _run_tasks(
+            tasks,
+            identity=self._checkpoint_identity(),
+            accept=lambda key, rows: _rows_ok(rows, sizes[key]),
+            label="fleet shard",
+            jobs=jobs,
+            timeout=timeout,
+            max_retries=max_retries,
+            checkpoint=checkpoint,
+            resume=resume,
+            telemetry=telemetry,
         )
-        offsets = {index: offset for index, offset, _, _ in shards}
-        sizes = {index: len(names) for index, _, names, _ in shards}
-        for key, rows in fragments.items():
-            index = int(key)
-            if index in offsets and len(rows) == sizes[index]:
-                matrix[offsets[index] : offsets[index] + sizes[index]] = rows
-        done = {
-            int(k)
-            for k in fragments
-            if int(k) in offsets and len(fragments[k]) == sizes[int(k)]
-        }
-        pending = [s for s in shards if s[0] not in done]
-        attempts: Dict[int, int] = {s[0]: 0 for s in shards}
-
-        buffer = None
-        if use_shm and pending:
-            from repro.app.shm import FleetResultBuffer
-
-            buffer = FleetResultBuffer(self.n_networks)
-
-        def record(
-            index: int,
-            rows: Optional[List[List[float]]],
-            tel: Optional[Dict[str, Any]],
-        ) -> None:
-            if rows is None:
-                assert buffer is not None
-                rows = buffer.read_rows(offsets[index], sizes[index]).tolist()
-            matrix[offsets[index] : offsets[index] + sizes[index]] = rows
-            fragments[str(index)] = rows
-            if tel is not None:
-                tel_fragments[str(index)] = tel
-            if checkpoint is not None:
-                self._write_fleet_checkpoint(checkpoint, fragments, tel_fragments)
-
-        def shard_args(
-            shard: Tuple[int, int, List[str], List[int]]
-        ) -> Tuple[Any, ...]:
-            index, offset, names, seeds = shard
-            return (
-                index,
-                sorted(self.tag_periods.items()),
-                names,
-                seeds,
-                self.n_slots,
-                self.config,
-                self.energy,
-                telemetry,
-                buffer.name if buffer is not None else None,
-                offset,
-                self.n_networks,
-            )
-
-        def run_serial(shard: Tuple[int, int, List[str], List[int]]) -> None:
-            with _serial_timeout(timeout):
-                index, rows, _, tel = _run_fleet_shard(*shard_args(shard))
-            record(index, rows, tel)
-
-        try:
-            while pending:
-                failed: List[Tuple[int, str]] = []
-                if jobs > 1:
-                    try:
-                        with ProcessPoolExecutor(max_workers=jobs) as pool:
-                            futures = {
-                                pool.submit(_run_fleet_shard, *shard_args(s)): s[0]
-                                for s in pending
-                            }
-                            for future, index in futures.items():
-                                try:
-                                    got, rows, _, tel = future.result(
-                                        timeout=timeout
-                                    )
-                                except FuturesTimeout:
-                                    future.cancel()
-                                    failed.append((index, "timed out"))
-                                except BrokenProcessPool:
-                                    raise
-                                except Exception as exc:
-                                    failed.append((index, repr(exc)))
-                                else:
-                                    record(got, rows, tel)
-                    except BrokenProcessPool:
-                        # A worker died hard; finish the incomplete
-                        # shards serially rather than losing the run.
-                        done_now = {int(k) for k in fragments}
-                        for shard in pending:
-                            if shard[0] in done_now:
-                                continue
-                            try:
-                                run_serial(shard)
-                            except (_JobTimeout, Exception) as exc:  # noqa: BLE001
-                                failed.append((shard[0], repr(exc)))
-                        failed = [
-                            (i, r)
-                            for i, r in failed
-                            if str(i) not in fragments
-                        ]
-                else:
-                    for shard in pending:
-                        try:
-                            run_serial(shard)
-                        except _JobTimeout:
-                            failed.append((shard[0], "timed out"))
-                        except Exception as exc:  # noqa: BLE001
-                            failed.append((shard[0], repr(exc)))
-
-                still_pending = []
-                for index, reason in failed:
-                    attempts[index] += 1
-                    if attempts[index] > max_retries:
-                        raise ResultsError(
-                            f"fleet shard {index} failed after "
-                            f"{attempts[index]} attempt"
-                            f"{'s' if attempts[index] != 1 else ''}: {reason}"
-                        )
-                    still_pending.append(index)
-                pending = [s for s in shards if s[0] in set(still_pending)]
-        finally:
-            if buffer is not None:
-                buffer.close()
-                buffer.unlink()
-
+        matrix = np.array(
+            [row for key, _, _ in tasks for row in landed["fragments"][key]],
+            dtype=np.float64,
+        )
         document = self._build_document(matrix)
-        if telemetry:
-            from repro.telemetry import MetricsSnapshot, merge_snapshots
-
-            # Canonical shard order, NOT completion order — identical
-            # to collect_results' merge discipline.
-            merged = merge_snapshots(
-                MetricsSnapshot.from_jsonable(tel_fragments[str(index)])
-                for index, _, _, _ in shards
-                if str(index) in tel_fragments
-            )
-            document["telemetry"] = {
-                "signature": merged.signature(),
-                "snapshot": merged.to_jsonable(),
-            }
-        if checkpoint is not None:
-            try:
-                os.remove(checkpoint)
-            except OSError:
-                pass
+        if telemetry_section is not None:
+            document["telemetry"] = telemetry_section
         return document
 
     def _build_document(self, matrix: Any) -> Dict[str, Any]:
@@ -1026,7 +859,7 @@ class FleetRunner:
 
         Every execution path lands rows in the same float64 matrix
         first, so the document bytes cannot depend on how the rows got
-        there (pickled return, shared memory, or checkpoint resume).
+        there (pool, serial, or checkpoint resume).
         """
         import numpy as np
 
@@ -1065,131 +898,3 @@ class FleetRunner:
                 "tag_slots": self.n_networks * self.n_slots * n_tags,
             },
         }
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner",
-        description="Emit the machine-readable results document.",
-    )
-    parser.add_argument(
-        "target", nargs="?", default="results.json", help="output JSON path"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run experiments on an N-process pool (default: serial)",
-    )
-    parser.add_argument(
-        "--serial",
-        action="store_true",
-        help="force serial execution (overrides --jobs)",
-    )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="publication-grade trial counts instead of quick CI counts",
-    )
-    parser.add_argument(
-        "--perf",
-        action="store_true",
-        help="embed per-experiment wall times and perf counters",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-experiment wall-clock bound in seconds",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="extra attempts for a failed or timed-out experiment",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="checkpoint file (default: <target>.ckpt)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="preload the checkpoint and run only the missing experiments",
-    )
-    parser.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="collect per-job metrics and embed the merged, signed "
-        "telemetry snapshot",
-    )
-    parser.add_argument(
-        "--telemetry-jsonl",
-        default=None,
-        metavar="PATH",
-        help="also export the merged telemetry snapshot as JSONL "
-        "(implies --telemetry)",
-    )
-    return parser
-
-
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv if argv is not None else sys.argv[1:])
-    jobs = 1 if args.serial else (args.jobs if args.jobs is not None else 1)
-    checkpoint = args.checkpoint or f"{args.target}.ckpt"
-    telemetry = args.telemetry or args.telemetry_jsonl is not None
-    try:
-        results = collect_results(
-            seed=args.seed,
-            quick=not args.full,
-            jobs=jobs,
-            perf=args.perf,
-            timeout=args.timeout,
-            max_retries=args.max_retries,
-            checkpoint=checkpoint,
-            resume=args.resume,
-            telemetry=telemetry,
-        )
-    except ResultsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except KeyboardInterrupt:
-        print(
-            f"interrupted; completed experiments are in {checkpoint} "
-            "(rerun with --resume)",
-            file=sys.stderr,
-        )
-        return 130
-    try:
-        with open(args.target, "w") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-    except OSError as exc:
-        print(f"error: cannot write {args.target}: {exc}", file=sys.stderr)
-        return 2
-    if args.telemetry_jsonl is not None:
-        from repro.telemetry import MetricsSnapshot, write_jsonl
-
-        snapshot = MetricsSnapshot.from_jsonable(
-            results["telemetry"]["snapshot"]
-        )
-        try:
-            write_jsonl(snapshot, args.telemetry_jsonl)
-        except OSError as exc:
-            print(
-                f"error: cannot write {args.telemetry_jsonl}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"wrote {args.telemetry_jsonl}")
-    print(f"wrote {args.target}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.experiments.runner import collect_results, main
+from repro.experiments.runner import collect_results
 
 
 class TestCollectResults:
@@ -45,9 +45,10 @@ class TestCollectResults:
         assert meds["c5"] > meds["c1"]
 
     def test_main_writes_file(self, tmp_path, medium, monkeypatch):
-        # main() builds its own medium; patch collect_results to reuse
+        # The CLI builds its own medium; patch collect_results to reuse
         # the session fixture and keep the test fast.
         import repro.experiments.runner as runner_mod
+        from repro.cli import main
 
         monkeypatch.setattr(
             runner_mod,
@@ -55,7 +56,7 @@ class TestCollectResults:
             lambda **kwargs: collect_results(medium, quick=True),
         )
         target = tmp_path / "out.json"
-        assert main([str(target)]) == 0
+        assert main(["results", "--out", str(target)]) == 0
         data = json.loads(target.read_text())
         assert data["table2_sustainable"] is True
 
@@ -92,6 +93,28 @@ class TestParallelExecution:
         }
         assert all(t >= 0 for t in perf["experiment_wall_s"].values())
         json.dumps(with_perf)  # still serialisable with the perf section
+
+    def test_perf_report_counts_each_job_once(self, tiny_jobs, monkeypatch, medium):
+        import repro.experiments.runner as runner_mod
+        from repro import perf as perf_mod
+
+        def counting(m, seed, quick):
+            perf_mod.count("test.job")
+            return {}
+
+        monkeypatch.setattr(
+            runner_mod, "_JOBS_BY_NAME", {name: counting for name in tiny_jobs}
+        )
+        perf_mod.reset()
+        perf_mod.count("test.setup")
+        try:
+            for jobs in (1, 2, 1):
+                doc = collect_results(medium, quick=True, jobs=jobs, perf=True)
+                counters = doc["perf"]["process"]["counters"]
+                mine = {k: v for k, v in counters.items() if k.startswith("test.")}
+                assert mine == {"test.job": 4, "test.setup": 1}, jobs
+        finally:
+            perf_mod.reset()
 
     def test_unpicklable_medium_falls_back_to_serial(self, medium):
         class Unpicklable(type(medium)):
@@ -223,7 +246,9 @@ class TestTelemetryDifferential:
         # telemetry-on resume must re-run those jobs, not emit a
         # partial telemetry section.
         runner_mod._write_checkpoint(
-            ckpt, 7, True, {"t1": {"t1": {"slots": 120}}}, {"t1": 0.0}
+            ckpt,
+            runner_mod._results_identity(7, True),
+            {"fragments": {"t1": {"t1": {"slots": 120}}}, "timings": {"t1": 0.0}},
         )
         resumed = collect_results(
             medium,
@@ -310,19 +335,28 @@ class TestRobustRunner:
             patched[name] = tracking
         monkeypatch.setattr(runner_mod, "_JOBS_BY_NAME", patched)
         runner_mod._write_checkpoint(
-            ckpt, 7, True,
-            {"j1": {"j1": {"seed": 7, "quick": True}},
-             "j2": {"j2": {"seed": 7, "quick": True}}},
-            {"j1": 0.0, "j2": 0.0},
+            ckpt,
+            runner_mod._results_identity(7, True),
+            {
+                "fragments": {
+                    "j1": {"j1": {"seed": 7, "quick": True}},
+                    "j2": {"j2": {"seed": 7, "quick": True}},
+                },
+                "timings": {"j1": 0.0, "j2": 0.0},
+            },
         )
         collect_results(medium, seed=7, quick=True, checkpoint=ckpt, resume=True)
         assert sorted(ran) == ["j3", "j4"]
 
     def test_checkpoint_seed_mismatch_refused(self, tiny_jobs, tmp_path, medium):
-        from repro.experiments.runner import ResultsError, _write_checkpoint
+        from repro.experiments.runner import (
+            ResultsError,
+            _results_identity,
+            _write_checkpoint,
+        )
 
         ckpt = str(tmp_path / "run.ckpt")
-        _write_checkpoint(ckpt, 99, True, {}, {})
+        _write_checkpoint(ckpt, _results_identity(99, True), {})
         with pytest.raises(ResultsError, match="seed"):
             collect_results(medium, seed=7, quick=True, checkpoint=ckpt, resume=True)
 
@@ -427,14 +461,108 @@ class TestRobustRunner:
             )
 
     def test_atomic_checkpoint_never_leaves_torn_files(self, tiny_jobs, tmp_path):
-        from repro.experiments.runner import _load_checkpoint, _write_checkpoint
+        from repro.experiments.runner import (
+            _load_checkpoint,
+            _results_identity,
+            _write_checkpoint,
+        )
 
         ckpt = str(tmp_path / "run.ckpt")
+        identity = _results_identity(7, True)
         for i in range(5):
-            _write_checkpoint(ckpt, 7, True, {"j1": {"v": i}}, {"j1": 0.0})
-            fragments, _, _ = _load_checkpoint(ckpt, 7, True)
-            assert fragments == {"j1": {"v": i}}
+            _write_checkpoint(
+                ckpt,
+                identity,
+                {"fragments": {"j1": {"v": i}}, "timings": {"j1": 0.0}},
+            )
+            sections = _load_checkpoint(ckpt, identity, ["j1"], lambda k, f: True)
+            assert sections["fragments"] == {"j1": {"v": i}}
         assert not os.path.exists(ckpt + ".tmp")
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('{"version": 1, "seed": 7, "fragm', "cannot read"),
+            ({"version": 1, "seed": 8, "quick": True}, "seed=8.*refusing to mix"),
+            ({"version": 2, "seed": 7, "quick": True}, "version=2"),
+            ([1, 2], "not a JSON object"),
+            (
+                {"version": 1, "seed": 7, "quick": True,
+                 "fragments": {"oops": {"oops": 1}}},
+                "unknown key 'oops'",
+            ),
+            (
+                {"version": 1, "seed": 7, "quick": True,
+                 "fragments": {"j2": "oops"}},
+                "malformed fragment 'j2'",
+            ),
+            (
+                {"version": 1, "seed": 7, "quick": True, "fragments": ["j2"]},
+                "'fragments' is not an object",
+            ),
+        ],
+        ids=[
+            "torn-json",
+            "wrong-seed",
+            "wrong-version",
+            "not-an-object",
+            "unknown-key",
+            "wrong-fragment-type",
+            "wrong-section-type",
+        ],
+    )
+    def test_malformed_checkpoint_refused_before_any_job_runs(
+        self, tiny_jobs, tmp_path, monkeypatch, medium, payload, message
+    ):
+        import repro.experiments.runner as runner_mod
+        from repro.experiments.runner import ResultsError
+
+        ckpt = tmp_path / "run.ckpt"
+        ckpt.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        ran = []
+        patched = {
+            name: (lambda m, seed, quick, _n=name: ran.append(_n) or {})
+            for name in tiny_jobs
+        }
+        monkeypatch.setattr(runner_mod, "_JOBS_BY_NAME", patched)
+        with pytest.raises(ResultsError, match=message):
+            collect_results(
+                medium, seed=7, quick=True, checkpoint=str(ckpt), resume=True
+            )
+        assert ran == []
+
+    def test_interrupt_inside_atomic_write_keeps_previous_checkpoint(
+        self, tiny_jobs, tmp_path, monkeypatch, medium
+    ):
+        import repro.experiments.runner as runner_mod
+
+        ckpt = str(tmp_path / "run.ckpt")
+        uninterrupted = collect_results(medium, seed=7, quick=True)
+
+        real_replace = os.replace
+        calls = {"n": 0}
+
+        def interrupted_replace(src, dst):
+            calls["n"] += 1
+            if calls["n"] == 3:  # Ctrl-C while the third fragment lands
+                raise KeyboardInterrupt
+            real_replace(src, dst)
+
+        monkeypatch.setattr(runner_mod.os, "replace", interrupted_replace)
+        with pytest.raises(KeyboardInterrupt):
+            collect_results(medium, seed=7, quick=True, checkpoint=ckpt)
+        monkeypatch.setattr(runner_mod.os, "replace", real_replace)
+
+        with open(ckpt) as fh:
+            previous = json.load(fh)
+        assert sorted(previous["fragments"]) == ["j1", "j2"]
+        resumed = collect_results(
+            medium, seed=7, quick=True, checkpoint=ckpt, resume=True
+        )
+        assert json.dumps(resumed, sort_keys=True) == json.dumps(
+            uninterrupted, sort_keys=True
+        )
+        assert not os.path.exists(ckpt)
 
 
 class TestProfiledExecution:

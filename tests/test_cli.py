@@ -89,7 +89,6 @@ class TestExecution:
         args = build_parser().parse_args(["fleet"])
         assert args.fleet_size == 256
         assert args.shard_size == 64
-        assert not args.shm
         assert main(["fleet", "--fleet-size", "2", "--slots", "40", "--serial"]) == 0
         out = capsys.readouterr().out
         assert '"schema": "fleet-sweep/1"' in out
